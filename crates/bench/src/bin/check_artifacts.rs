@@ -14,6 +14,11 @@
 //! previous CI run). The trend is informational only — shared-runner noise
 //! makes hard thresholds useless — so comparison never affects the exit
 //! code.
+//!
+//! Regressions fail through within-run ratios instead, which a slow runner
+//! scales on both sides: `BENCH_factorize.json` fails when the indexed
+//! matcher's MiB/s is below [`MIN_FACTORIZE_SPEEDUP`] times the plain
+//! matcher's, measured on the same dictionary in the same run.
 
 use rlz_bench::json::{self, Value};
 use std::path::{Path, PathBuf};
@@ -21,6 +26,12 @@ use std::process::ExitCode;
 
 /// Per-row numeric measures worth trending, by field name.
 const MEASURES: [&str; 5] = ["mb_per_s", "docs_per_s", "p50_us", "p95_us", "p99_us"];
+
+/// Lowest allowed indexed / plain factorize MiB/s on one dictionary: half
+/// the median ratio over five runs of the CI smoke configuration
+/// (`factorize --size-mb 2`: 15 ratios from 2.72 to 3.73, median 2.99, on
+/// a 2-vCPU VM). Losing the indexed search altogether drops it to about 1.
+const MIN_FACTORIZE_SPEEDUP: f64 = 1.5;
 
 fn fail(file: &Path, what: &str) -> String {
     format!("{}: {what}", file.display())
@@ -94,6 +105,9 @@ fn check_bench(file: &Path, bench: &str, rows: &[Value]) -> Result<(), String> {
             for (i, row) in rows.iter().enumerate() {
                 nonneg(file, row, i, "corpus_bytes")?;
                 nonneg(file, row, i, "mb_per_s")?;
+            }
+            if bench == "factorize" {
+                check_factorize_speedup(file, rows)?;
             }
             if bench == "decode" {
                 let pipelines = str_set(rows, "pipeline");
@@ -425,6 +439,44 @@ fn check_bench(file: &Path, bench: &str, rows: &[Value]) -> Result<(), String> {
             // Unknown artifacts still had the generic shape checked; say so
             // rather than silently passing.
             println!("  note: no bench-specific schema for {other:?}, generic checks only");
+        }
+    }
+    Ok(())
+}
+
+/// The factorize ratio gate: every dictionary has a `plain` and an
+/// `indexed` row, and indexed MiB/s is at least [`MIN_FACTORIZE_SPEEDUP`]
+/// times plain.
+fn check_factorize_speedup(file: &Path, rows: &[Value]) -> Result<(), String> {
+    let matchers = str_set(rows, "matcher");
+    if matchers != ["indexed", "plain"] {
+        return Err(fail(file, &format!("matchers {matchers:?}")));
+    }
+    let rate = |dict: f64, matcher: &str| {
+        rows.iter()
+            .find(|r| {
+                r.get("dict_bytes").and_then(Value::as_f64) == Some(dict)
+                    && r.get("matcher").and_then(Value::as_str) == Some(matcher)
+            })
+            .and_then(|r| r.get("mb_per_s").and_then(Value::as_f64))
+    };
+    for (i, row) in rows.iter().enumerate() {
+        let dict = num_field(file, row, i, "dict_bytes")?;
+        let (Some(indexed), Some(plain)) = (rate(dict, "indexed"), rate(dict, "plain")) else {
+            return Err(fail(
+                file,
+                &format!("dictionary {dict} lacks a plain or indexed row"),
+            ));
+        };
+        let ratio = indexed / plain;
+        if ratio.is_nan() || ratio < MIN_FACTORIZE_SPEEDUP {
+            return Err(fail(
+                file,
+                &format!(
+                    "dictionary {dict}: indexed {indexed:.1} MiB/s is {ratio:.2}x plain \
+                     {plain:.1} MiB/s, below the {MIN_FACTORIZE_SPEEDUP}x gate"
+                ),
+            ));
         }
     }
     Ok(())

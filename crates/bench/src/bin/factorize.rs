@@ -1,6 +1,7 @@
-//! Build-path throughput benchmark: RLZ factorization MB/s with the q-gram
-//! prefix-index fast path vs the paper's plain matcher, across dictionary
-//! sizes. Writes the machine-readable `BENCH_factorize.json` artifact.
+//! Build-path throughput benchmark: RLZ factorization MB/s with the indexed
+//! single-search matcher vs the paper's plain matcher, across dictionary
+//! sizes. Writes the machine-readable `BENCH_factorize.json` artifact, whose
+//! indexed / plain ratio `check_artifacts` gates.
 //!
 //! `cargo run --release -p rlz-bench --bin factorize [-- --size-mb N]`
 

@@ -332,9 +332,9 @@ pub fn concurrent_retrieval_table(title: &str, collection: &Collection, cfg: &Sc
 }
 
 /// Factorization-throughput table (build path; extension beyond the
-/// paper): MB/s and docs/s of RLZ factorization with the q-gram
-/// [`rlz_suffix::PrefixIndex`] fast path vs the paper's plain `Refine`
-/// matcher, across dictionary sizes. Also spot-checks that both matchers
+/// paper): MB/s and docs/s of RLZ factorization with the single
+/// lcp-skipping search inside the q-gram [`rlz_suffix::PrefixIndex`]
+/// interval vs the paper's plain `Refine` matcher, across dictionary sizes. Also spot-checks that both matchers
 /// emit identical factorizations before timing anything.
 ///
 /// Returns the machine-readable report (`BENCH_factorize.json`).

@@ -49,7 +49,7 @@ pub struct Dictionary {
 
 impl Dictionary {
     /// Default q-gram length for the prefix index: a 512 KiB table that
-    /// skips the two widest `Refine` binary searches of every factor.
+    /// starts every longest-match search two bytes deep.
     pub const DEFAULT_INDEX_Q: usize = 2;
 
     /// Builds a dictionary directly from the given bytes.

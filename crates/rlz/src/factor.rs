@@ -6,6 +6,17 @@
 //! character that does not occur in `d`. Each factor is a `(position,
 //! length)` pair; `length == 0` marks a literal whose byte is stored in the
 //! position field.
+//!
+//! Each factor costs one longest-match query against the dictionary's
+//! suffix array. [`factorize`] answers it with a single lcp-skipping binary
+//! search inside the dictionary's q-gram interval
+//! ([`Matcher::longest_match_indexed`](rlz_suffix::Matcher::longest_match_indexed)),
+//! `O(len + log m)` byte comparisons per factor. [`factorize_plain`] keeps
+//! the paper's `Refine` loop, two binary searches per matched byte. Both
+//! report the suffix-array-leftmost dictionary suffix that shares the
+//! longest prefix with the input: `Refine` reports the left end of its final
+//! interval, and the single search walks left to that same suffix. So both
+//! emit the same factors and every stored record is byte-identical.
 
 use crate::Dictionary;
 
@@ -63,10 +74,10 @@ impl Factor {
 /// boundaries so each document decodes independently, which is exactly what
 /// a per-document call achieves.
 ///
-/// Longest-match queries go through the dictionary's q-gram
-/// [`PrefixIndex`](rlz_suffix::PrefixIndex), which skips the widest
-/// `Refine` binary searches of every factor; the parse is byte-identical
-/// to [`factorize_plain`], which keeps the paper's un-indexed search as
+/// Longest-match queries start from the dictionary's q-gram
+/// [`PrefixIndex`](rlz_suffix::PrefixIndex) interval and search it once
+/// for the whole remaining input (see the module docs); the parse is
+/// byte-identical to [`factorize_plain`], which keeps the paper's search as
 /// the correctness oracle and benchmark ablation.
 pub fn factorize(dict: &Dictionary, text: &[u8], out: &mut Vec<Factor>) {
     let matcher = dict.matcher();
@@ -253,6 +264,35 @@ mod tests {
                 assert_eq!(fast, plain, "q={q}");
             }
         }
+    }
+
+    #[test]
+    fn indexed_and_plain_parses_agree_on_a_web_collection() {
+        // The production shape: a GOV2-like collection factorized against a
+        // ~0.1% dictionary sampled the way the streamed build samples it.
+        let col = rlz_corpus::generate_web(&rlz_corpus::WebConfig::gov2(8 << 20, 0x5EED));
+        let total = col.total_bytes();
+        let d = Dictionary::sample_streamed(
+            col.iter_docs(),
+            total,
+            total / 1000,
+            256,
+            SampleStrategy::Evenly,
+        );
+        let (mut fast, mut plain) = (Vec::new(), Vec::new());
+        let mut covered = 0;
+        for doc in col.iter_docs() {
+            if covered >= 2 << 20 {
+                break;
+            }
+            fast.clear();
+            plain.clear();
+            factorize(&d, doc, &mut fast);
+            factorize_plain(&d, doc, &mut plain);
+            assert_eq!(fast, plain);
+            covered += doc.len();
+        }
+        assert!(covered >= 2 << 20);
     }
 
     #[test]

@@ -719,15 +719,15 @@ impl Responder {
                 Action::Continue
             }
             Request::Put(doc) => {
-                self.respond_write(out, |w| w.put(doc).map(Some));
+                self.respond_write(out, None, |w| w.put(doc).map(Some));
                 Action::Continue
             }
             Request::Append(id, bytes) => {
-                self.respond_write(out, |w| w.append(*id, bytes).map(|()| None));
+                self.respond_write(out, Some(*id), |w| w.append(*id, bytes).map(|()| None));
                 Action::Continue
             }
             Request::Delete(id) => {
-                self.respond_write(out, |w| w.delete(*id).map(|()| None));
+                self.respond_write(out, Some(*id), |w| w.delete(*id).map(|()| None));
                 Action::Continue
             }
             Request::Metrics => {
@@ -773,9 +773,14 @@ impl Responder {
     /// soft bound sheds the write with `ERR_BUSY` *before* it touches the
     /// store (reads are never shed by write pressure). An acked write —
     /// the OK frame — is durable per the store's fsync policy.
+    ///
+    /// `changes` names the existing document the write rewrites (APPEND,
+    /// DELETE): its hot-cache entry is dropped before the response is
+    /// written, so no GET after the ack can serve the old bytes.
     fn respond_write(
         &mut self,
         out: &mut Vec<u8>,
+        changes: Option<u32>,
         op: impl FnOnce(&dyn WriteStore) -> Result<Option<u32>, StoreError>,
     ) {
         let Some(writer) = &self.writer else {
@@ -797,7 +802,13 @@ impl Responder {
             );
             return;
         }
-        match op(writer.as_ref()) {
+        let result = op(writer.as_ref());
+        // Dropped whatever the outcome: a failed write may still have been
+        // applied in part, and a spurious miss costs one decode.
+        if let (Some(cache), Some(id)) = (&self.cache, changes) {
+            cache.remove(id as usize);
+        }
+        match result {
             Ok(id) => {
                 let start = protocol::begin_response(out);
                 if let Some(id) = id {
@@ -909,6 +920,7 @@ impl Responder {
                 return;
             }
         }
+        let epoch = self.cache.as_ref().map(|c| c.write_epoch());
         let start = protocol::begin_response(out);
         match store.get_into(id as usize, out) {
             Ok(()) if out.len() - start - 5 > MAX_BODY => {
@@ -921,8 +933,8 @@ impl Responder {
             }
             Ok(()) => {
                 protocol::finish_response(out, start, STATUS_OK);
-                if let Some(cache) = &self.cache {
-                    cache.insert(id as usize, Arc::new(out[start + 5..].to_vec()));
+                if let (Some(cache), Some(epoch)) = (&self.cache, epoch) {
+                    cache.insert_at(id as usize, Arc::new(out[start + 5..].to_vec()), epoch);
                 }
             }
             Err(e) => {
@@ -1045,13 +1057,15 @@ impl Responder {
             self.fetch_slots.push(u as u32);
         }
         if !self.fetch.is_empty() {
+            let epoch = self.cache.as_ref().map(|c| c.write_epoch());
             let got = store.get_batch_results(&self.fetch, self.batch_threads);
             for (result, &u) in got.into_iter().zip(&self.fetch_slots) {
                 match result {
                     Ok(doc) => {
                         let doc = Arc::new(doc);
-                        if let Some(cache) = &self.cache {
-                            cache.insert(self.uniq[u as usize] as usize, Arc::clone(&doc));
+                        if let (Some(cache), Some(epoch)) = (&self.cache, epoch) {
+                            let id = self.uniq[u as usize] as usize;
+                            cache.insert_at(id, Arc::clone(&doc), epoch);
                         }
                         self.docs[u as usize] = Some(doc);
                     }

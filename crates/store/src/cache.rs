@@ -23,6 +23,15 @@
 //! Hit/miss counters are maintained on every [`get`](ShardedLru::get) so a
 //! serving layer can surface cache effectiveness (the `rlz-serve` STAT
 //! opcode reports them).
+//!
+//! A writable store changes payloads under the cache. The writer calls
+//! [`remove`](ShardedLru::remove) once a write is applied; it advances a
+//! write epoch before dropping the entry. A reader notes the
+//! [`write_epoch`](ShardedLru::write_epoch) before its store read and
+//! inserts through [`insert_at`](ShardedLru::insert_at), which compares
+//! the epoch under the shard lock. Either the insert lands first and the
+//! removal drops it, or the removal lands first and the insert is refused,
+//! so pre-write bytes never outlive the write.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +52,11 @@ pub struct ShardedLru {
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Number of [`remove`](ShardedLru::remove) calls so far. The AcqRel
+    /// bump in `remove` pairs with the Acquire load in `write_epoch`: a
+    /// reader whose epoch already counts a write also sees the store state
+    /// that write published before calling `remove`.
+    writes: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -78,6 +92,7 @@ impl ShardedLru {
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
         }
     }
 
@@ -147,11 +162,31 @@ impl ShardedLru {
     /// than the whole shard byte budget is not cached at all (caching it
     /// would evict everything else for one entry).
     pub fn insert(&self, key: usize, value: Arc<Vec<u8>>) {
+        self.insert_at(key, value, self.write_epoch());
+    }
+
+    /// The write epoch: how many [`remove`](Self::remove) calls have
+    /// happened. Read it before fetching a payload from a writable store
+    /// and pass it to [`insert_at`](Self::insert_at).
+    pub fn write_epoch(&self) -> u64 {
+        self.writes.load(Ordering::Acquire)
+    }
+
+    /// [`insert`](Self::insert) for a payload read at write epoch `epoch`:
+    /// refused when a [`remove`](Self::remove) has happened since, because
+    /// the payload may predate that write.
+    pub fn insert_at(&self, key: usize, value: Arc<Vec<u8>>, epoch: u64) {
         if value.len() > self.per_shard_bytes {
             return;
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().expect("cache lock poisoned");
+        // Checked under the shard lock: `remove` bumps the epoch before it
+        // takes this lock, so a stale insert either sees the bump here or
+        // lands before the removal that drops it.
+        if epoch != self.write_epoch() {
+            return;
+        }
         // Replacing an existing key frees its bytes before budget checks.
         if let Some((_, old)) = shard.entries.remove(&key) {
             shard.bytes -= old.len();
@@ -175,6 +210,17 @@ impl ShardedLru {
         }
         shard.bytes += value.len();
         shard.entries.insert(key, (tick, value));
+    }
+
+    /// Drops entry `key` after a write changed its payload. The write epoch
+    /// advances first, so a reader that fetched the old payload and has not
+    /// inserted it yet is refused by [`insert_at`](Self::insert_at).
+    pub fn remove(&self, key: usize) {
+        self.writes.fetch_add(1, Ordering::AcqRel);
+        let mut shard = self.shard(key).lock().expect("cache lock poisoned");
+        if let Some((_, old)) = shard.entries.remove(&key) {
+            shard.bytes -= old.len();
+        }
     }
 
     fn shard(&self, key: usize) -> &Mutex<Shard> {
@@ -262,6 +308,26 @@ mod tests {
             })
             .sum();
         assert_eq!(cache.resident_bytes(), expected);
+    }
+
+    #[test]
+    fn remove_drops_the_entry_and_refuses_stale_inserts() {
+        let cache = ShardedLru::with_byte_budget(8 << 10);
+        cache.insert(5, block(1));
+        let before = cache.write_epoch();
+        cache.remove(5);
+        assert!(cache.get(5).is_none());
+        assert_eq!(cache.resident_bytes(), 0);
+        // A reader that fetched before the write must not re-insert.
+        cache.insert_at(5, block(1), before);
+        assert!(cache.get(5).is_none());
+        // A reader that fetched after it may.
+        cache.insert_at(5, block(2), cache.write_epoch());
+        assert_eq!(cache.get(5).unwrap()[0], 2);
+        // Removing an absent key still advances the epoch.
+        let epoch = cache.write_epoch();
+        cache.remove(77);
+        assert_eq!(cache.write_epoch(), epoch + 1);
     }
 
     #[test]

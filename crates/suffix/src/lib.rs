@@ -14,8 +14,9 @@
 //!   of a pattern prefix anywhere in the indexed text.
 //! * [`PrefixIndex`] — a q-gram prefix-interval table (default `q = 2`)
 //!   that maps the first `q` bytes of a pattern straight to its suffix-array
-//!   interval, so [`Matcher::longest_match_indexed`] skips the `q` widest
-//!   `Refine` binary searches — the dominant cost of RLZ factorization. The
+//!   interval. [`Matcher::longest_match_indexed`] answers a query with one
+//!   lcp-skipping binary search inside it instead of one `Refine` per
+//!   matched byte — the dominant cost of RLZ factorization. The
 //!   table holds `O(σ^q)` interval entries (8 bytes each): 2 KiB at `q = 1`,
 //!   512 KiB at `q = 2`, 128 MiB at `q = 3`, independent of the text size.
 //!   A 256-entry first-byte table covers patterns shorter than `q` and

@@ -1,13 +1,17 @@
-//! Longest-match queries against a suffix array: the `Refine` primitive of
-//! Figure 1 in the paper.
+//! Longest-match queries against a suffix array.
 //!
-//! The RLZ factorizer repeatedly asks "what is the longest prefix of the
-//! remaining document that occurs anywhere in the dictionary?". With the
-//! dictionary's suffix array this is answered by maintaining an interval
-//! `[lb, rb]` of suffixes that match the pattern read so far and narrowing it
-//! with two binary searches per added character — `O(len · log m)` per query.
+//! `Refine` from Figure 1 of the paper ([`Matcher::longest_match`], the
+//! oracle and ablation) narrows an interval with two binary searches per
+//! matched byte. [`Matcher::longest_match_indexed`] bisects the
+//! [`PrefixIndex`] interval once for the whole pattern, each probe comparing
+//! 8 bytes at a time from the lcp both bounds share with it (Manber & Myers);
+//! the match length is the larger lcp of the insertion point's neighbours.
+//! Its `pos` is `Refine`'s, the suffix-array-leftmost suffix sharing `len`
+//! bytes: if that lies left of the insertion point, where lcp grows with
+//! rank, a second bisection finds it.
 
 use crate::{PrefixIndex, SuffixArray};
+use std::iter::zip;
 
 /// A borrowing view that answers longest-match queries over `text` using its
 /// suffix array.
@@ -174,29 +178,39 @@ impl<'a> Matcher<'a> {
         self.longest_match_impl(pattern, true)
     }
 
-    /// [`Matcher::longest_match`] fast-pathed through a [`PrefixIndex`]:
-    /// the index hands back the interval `Refine` would reach after its
-    /// first `q` steps, so the widest binary searches are skipped entirely.
-    ///
-    /// Produces byte-identical results to [`Matcher::longest_match`] — the
-    /// index interval is exactly the one the refine loop computes, so both
-    /// the match position and length agree (the property the RLZ store
-    /// relies on: indexed and plain builds emit identical factorizations).
-    ///
-    /// `index` must have been built over this matcher's text.
+    /// [`Matcher::longest_match`] by one search inside the interval that
+    /// `index`, built over this text, gives (see the module docs).
     pub fn longest_match_indexed(&self, index: &PrefixIndex, pattern: &[u8]) -> (u32, u32) {
-        debug_assert_eq!(
-            index.text_len(),
-            self.text.len(),
-            "prefix index built over a different text"
-        );
-        if self.sa.is_empty() || pattern.is_empty() {
+        debug_assert_eq!(index.text_len(), self.text.len(), "index of another text");
+        let Some((lb, rb, depth)) = index.lookup(pattern) else {
             return (0, 0);
+        };
+        // `lcp(s, k)`: lcp of the pattern and suffix `s`, known to be >= `k`.
+        // Bisect [lb, rb + 1] for the insertion point `lo`. `l_lo`, `l_hi`:
+        // lcps of ranks lo - 1 and hi (`depth` outside [lb, rb]). `floor`:
+        // one past the last less-than probe with lcp below the final `l_lo`.
+        let lcp = |s: u32, k: usize| k + common_prefix(&self.text[s as usize + k..], &pattern[k..]);
+        let (mut lo, mut hi, mut l_lo, mut l_hi) = (lb, rb + 1, depth, depth);
+        let (mut floor, mut l_floor) = (lb, depth);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let l = lcp(self.sa[mid], l_lo.min(l_hi));
+            let next = self.text.get(self.sa[mid] as usize + l);
+            if l < pattern.len() && next.is_none_or(|&b| b < pattern[l]) {
+                if l > l_lo {
+                    (floor, l_floor) = (lo, l_lo);
+                }
+                (lo, l_lo) = (mid + 1, l);
+            } else {
+                (hi, l_hi) = (mid, l);
+            }
         }
-        match index.lookup(pattern) {
-            Some((lb, rb, depth)) => self.longest_match_from(pattern, lb, rb, depth, false),
-            None => (0, 0),
+        if lo == lb || (lo <= rb && l_hi > l_lo) {
+            return (self.sa[lo], l_hi as u32);
         }
+        // The left neighbour matches longest: find the first rank reaching it.
+        let first = floor + self.sa[floor..lo].partition_point(|&s| lcp(s, l_floor) < l_lo);
+        (self.sa[first], l_lo as u32)
     }
 
     #[inline]
@@ -204,32 +218,14 @@ impl<'a> Matcher<'a> {
         if self.sa.is_empty() || pattern.is_empty() {
             return (0, 0);
         }
-        self.longest_match_from(pattern, 0, self.sa.len() - 1, 0, gallop)
-    }
-
-    /// The refine loop, resumable from any valid state: every suffix in
-    /// `[lb, rb]` must already match `pattern[..depth]`.
-    #[inline]
-    fn longest_match_from(
-        &self,
-        pattern: &[u8],
-        mut lb: usize,
-        mut rb: usize,
-        mut depth: usize,
-        gallop: bool,
-    ) -> (u32, u32) {
+        let (mut lb, mut rb, mut depth) = (0, self.sa.len() - 1, 0);
         while depth < pattern.len() {
             if lb == rb {
                 // Single candidate left: extend by direct comparison, the
                 // short-circuit in the paper's Factor().
-                let start = self.sa[lb] as usize;
-                let rest = &self.text[start + depth..];
-                let extra = rest
-                    .iter()
-                    .zip(&pattern[depth..])
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                depth += extra;
+                let rest = &self.text[self.sa[lb] as usize + depth..];
+                let pairs = zip(rest, &pattern[depth..]);
+                depth += pairs.take_while(|(a, b)| a == b).count();
                 break;
             }
             let narrowed = if gallop {
@@ -237,21 +233,25 @@ impl<'a> Matcher<'a> {
             } else {
                 self.refine(lb, rb, depth, pattern[depth])
             };
-            match narrowed {
-                Some((l, r)) => {
-                    lb = l;
-                    rb = r;
-                    depth += 1;
-                }
-                None => break,
-            }
+            let Some((l, r)) = narrowed else { break };
+            (lb, rb, depth) = (l, r, depth + 1);
         }
-        if depth == 0 {
-            (0, 0)
-        } else {
-            (self.sa[lb], depth as u32)
+        (if depth == 0 { 0 } else { self.sa[lb] }, depth as u32)
+    }
+}
+
+/// Length of the common prefix of `a` and `b`, compared 8 bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+    let mut n = 0;
+    for (x, y) in zip(a.chunks_exact(8), b.chunks_exact(8)) {
+        match word(x) ^ word(y) {
+            0 => n += 8,
+            diff => return n + diff.trailing_zeros() as usize / 8,
         }
     }
+    let tail = zip(&a[n..], &b[n..]);
+    n + tail.take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]

@@ -1,19 +1,17 @@
 //! A q-gram prefix-interval index over a suffix array.
 //!
-//! The RLZ factorizer's `Refine` loop ([`crate::Matcher`]) restarts every
-//! longest-match query at the full interval `[0, m-1]` and pays one whole
-//! array binary search per character until the interval narrows. The first
-//! few `Refine` steps are by far the most expensive: they bisect the widest
-//! intervals, touching `O(log m)` cache-cold suffix-array entries each.
-//!
-//! [`PrefixIndex`] removes them. It precomputes, for every q-gram, the
-//! suffix-array interval of the suffixes starting with that q-gram — the
-//! exact interval `Refine` would reach after `q` steps. A longest-match
-//! query then starts directly at depth `q`, skipping the `q` widest binary
-//! searches. A 256-entry first-byte table serves as fallback for patterns
-//! shorter than `q` and for patterns whose leading q-gram does not occur in
-//! the text (the longest match, if any, is then shorter than `q`, and the
-//! plain refine loop resumes from depth 1).
+//! Every longest-match query would otherwise start at the full interval
+//! `[0, m-1]`, and its first comparisons bisect the widest, most
+//! cache-cold stretch of the suffix array. [`PrefixIndex`] removes them. It
+//! precomputes, for every q-gram, the suffix-array interval of the suffixes
+//! starting with that q-gram: the exact interval `Refine` would reach after
+//! `q` steps. [`crate::Matcher::longest_match_indexed`] then runs its single
+//! lcp-skipping search inside that interval, knowing every suffix there
+//! already shares `q` bytes with the pattern and every suffix sharing more
+//! lies inside. A 256-entry first-byte table serves as fallback for
+//! patterns shorter than `q` and for patterns whose leading q-gram does not
+//! occur in the text (the longest match, if any, is then shorter than `q`,
+//! and the search runs over the depth-1 interval instead).
 //!
 //! Memory cost: `σ^q + σ` interval entries of 8 bytes, i.e. 2 KiB for
 //! `q = 1`, 512 KiB for the default `q = 2`, and 128 MiB for `q = 3` —
@@ -41,7 +39,7 @@ const NO_SUFFIX: Interval = Interval { lb: EMPTY, rb: 0 };
 
 /// Maps the first `q` bytes of a pattern to the suffix-array interval of
 /// suffixes sharing that prefix, letting longest-match queries skip the
-/// `q` widest `Refine` binary searches.
+/// widest part of their search.
 ///
 /// Build once per indexed text and share freely: lookups take `&self` and
 /// the index is immutable, `Send` and `Sync`.
@@ -138,7 +136,7 @@ impl PrefixIndex {
                 return Some((iv.lb as usize, iv.rb as usize, self.q));
             }
             // The leading q-gram is absent: any match is shorter than q.
-            // Resume the refine loop from the first-byte interval.
+            // Search the first-byte interval instead.
         }
         let iv = self.first[b0 as usize];
         (iv.lb != EMPTY).then_some((iv.lb as usize, iv.rb as usize, 1))

@@ -11,8 +11,17 @@ use rlz_repro::store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore,
 struct TempDir(std::path::PathBuf);
 
 impl TempDir {
+    /// A fresh directory per call: tests run in parallel and several of
+    /// them build stores under the same `name`, so the pid alone would let
+    /// one test's `Drop` delete another test's live store.
     fn new(name: &str) -> Self {
-        let p = std::env::temp_dir().join(format!("rlz-conc-{name}-{}", std::process::id()));
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let p = std::env::temp_dir().join(format!(
+            "rlz-conc-{name}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&p);
         std::fs::create_dir_all(&p).unwrap();
         TempDir(p)

@@ -662,6 +662,14 @@ fn create_live(dir: &std::path::Path, docs: &[Vec<u8>], cfg: LiveConfig) -> Live
 }
 
 fn start_live(live: &LiveStore, backend: Backend) -> rlz_repro::serve::ServerHandle {
+    start_live_cached(live, backend, 0)
+}
+
+fn start_live_cached(
+    live: &LiveStore,
+    backend: Backend,
+    cache_bytes: usize,
+) -> rlz_repro::serve::ServerHandle {
     start_cfg(
         Arc::new(live.clone()),
         ServeConfig {
@@ -669,7 +677,7 @@ fn start_live(live: &LiveStore, backend: Backend) -> rlz_repro::serve::ServerHan
             batch_threads: 1,
             allow_shutdown: true,
             backend,
-            cache_bytes: 0,
+            cache_bytes,
             max_connections: 0,
             idle_timeout: None,
             shed_queue_depth: 0,
@@ -725,6 +733,47 @@ fn live_writes_roundtrip_and_persist_across_reopen() {
     assert!(reopened.get(1).is_err(), "delete must survive reopen");
     assert_eq!(reopened.get(2).unwrap(), docs[2]);
     assert_eq!(reopened.num_docs(), 24 * backends().len());
+}
+
+#[test]
+fn cached_live_store_never_serves_pre_write_bytes() {
+    let docs = corpus_docs();
+    let dir = TempDir::new("live-cache");
+    let cfg = LiveConfig {
+        fsync: FsyncPolicy::Never,
+        ..LiveConfig::default()
+    };
+    let live = create_live(dir.path(), &docs, cfg);
+    for backend in backends() {
+        let handle = start_live_cached(&live, backend, 4 << 20);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let (a, b) = (client.put(&docs[0]).unwrap(), client.put(&docs[1]).unwrap());
+        // Warm both ids through GET and MGET, then prove they are cached.
+        assert_eq!(client.get(a).unwrap(), docs[0]);
+        assert_eq!(client.mget(&[b]).unwrap()[0], docs[1]);
+        let before = client.server_stat().unwrap().cache_hits;
+        assert_eq!(client.get(a).unwrap(), docs[0]);
+        assert_eq!(client.get(b).unwrap(), docs[1]);
+        assert_eq!(client.server_stat().unwrap().cache_hits, before + 2);
+
+        client.append(a, b"--trailer--").unwrap();
+        let mut want = docs[0].clone();
+        want.extend_from_slice(b"--trailer--");
+        assert_eq!(client.get(a).unwrap(), want, "GET after APPEND");
+        assert_eq!(client.mget(&[a, a]).unwrap(), [want.clone(), want]);
+
+        client.delete(b).unwrap();
+        for err in [
+            client.get(b).unwrap_err(),
+            client.mget(&[b]).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ClientError::Server { status, .. } if status == STATUS_OUT_OF_RANGE),
+                "deleted doc must answer ERR_RANGE, got {err}"
+            );
+        }
+        handle.shutdown();
+    }
 }
 
 #[test]
