@@ -139,13 +139,13 @@ fn check_bench(file: &Path, bench: &str, rows: &[Value]) -> Result<(), String> {
         }
         "serve" => {
             // A single row is a schema regression: the serving matrix
-            // sweeps at least two configurations (backends, pipeline
-            // depths, cache on/off), so one row means the sweep was lost.
+            // sweeps at least two configurations (pipeline depths, cache
+            // on/off), so one row means the sweep was lost.
             if rows.len() < 2 {
                 return Err(fail(
                     file,
                     "serve artifact has a single row; the matrix needs at least two \
-                     (sweep backends / pipeline depths / cache on+off, or --append)",
+                     (sweep pipeline depths / cache on+off, or --append)",
                 ));
             }
             for (i, row) in rows.iter().enumerate() {
@@ -181,16 +181,6 @@ fn check_bench(file: &Path, bench: &str, rows: &[Value]) -> Result<(), String> {
                     .ok_or_else(|| fail(file, &format!("row {i}: missing string \"cache\"")))?;
                 if !matches!(cache, "on" | "off") {
                     return Err(fail(file, &format!("row {i}: cache must be on/off")));
-                }
-                let backend = row
-                    .get("backend")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| fail(file, &format!("row {i}: missing string \"backend\"")))?;
-                if !matches!(backend, "epoll" | "portable") {
-                    return Err(fail(
-                        file,
-                        &format!("row {i}: backend must be epoll/portable, got {backend:?}"),
-                    ));
                 }
                 // Optional while older artifacts linger; when present it is
                 // the instrumentation-ablation axis and must be on/off.

@@ -14,7 +14,7 @@
 //!
 //! # Self-contained: build, serve in-process, and measure:
 //! serve_load --store DIR --build [--connections N] [--rate R] \
-//!            [--cache-bytes N] [--backend auto|epoll|portable] ...
+//!            [--cache-bytes N] ...
 //! ```
 //!
 //! `--store` names the store directory; it doubles as the ground truth for
@@ -22,12 +22,12 @@
 //! `DocStore::get`. `--smoke` first runs a scripted mixed GET / MGET /
 //! pipelined / malformed-frame protocol exercise (any deviation exits
 //! nonzero), then the timed load. `--pipeline N` keeps N frames
-//! outstanding per connection in closed-loop mode. `--cache-bytes` and
-//! `--backend` configure the in-process server (external servers are
-//! configured by their own flags; rows are labelled from the live STAT
-//! response either way). Results land in `BENCH_serve.json` (`--out` to
-//! move, `--append` to keep an existing artifact's rows — how CI collects
-//! the epoll and portable runs into one matrix).
+//! outstanding per connection in closed-loop mode. `--cache-bytes`
+//! configures the in-process server (external servers are configured by
+//! their own flags; rows are labelled from the live STAT response either
+//! way). Results land in `BENCH_serve.json` (`--out` to move, `--append`
+//! to keep an existing artifact's rows — how CI collects the cache-on and
+//! cache-off runs into one matrix).
 
 use rlz_bench::serve::{self, Dist, LoadConfig, ServerLabels};
 use rlz_bench::ScaledConfig;
@@ -58,7 +58,6 @@ struct Args {
     dist: Dist,
     rate: Option<f64>,
     cache_bytes: usize,
-    backend: rlz_serve::Backend,
     out: PathBuf,
     wait_secs: u64,
     scaled: ScaledConfig,
@@ -69,7 +68,7 @@ fn usage() -> ! {
         "usage: serve_load [--addr HOST:PORT] [--store DIR] [--build | --build-only]\n\
          \x20                 [--size-mb N] [--connections N] [--batch N] [--pipeline N]\n\
          \x20                 [--requests N] [--dist seq|zipf|querylog] [--rate R]\n\
-         \x20                 [--cache-bytes N] [--backend auto|epoll|portable]\n\
+         \x20                 [--cache-bytes N]\n\
          \x20                 [--smoke] [--verify] [--shutdown] [--shutdown-only]\n\
          \x20                 [--append] [--out FILE] [--wait-secs S] [--seed N]"
     );
@@ -94,7 +93,6 @@ fn parse_args(raw: &[String]) -> Args {
         dist: Dist::QueryLog,
         rate: None,
         cache_bytes: 0,
-        backend: rlz_serve::Backend::Auto,
         out: PathBuf::from("BENCH_serve.json"),
         wait_secs: 15,
         scaled: ScaledConfig::from_args(raw),
@@ -133,9 +131,6 @@ fn parse_args(raw: &[String]) -> Args {
             "--dist" => args.dist = Dist::parse(&value(&mut i)).unwrap_or_else(|| usage()),
             "--rate" => args.rate = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--cache-bytes" => args.cache_bytes = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--backend" => {
-                args.backend = rlz_serve::Backend::parse(&value(&mut i)).unwrap_or_else(|| usage())
-            }
             "--out" => args.out = PathBuf::from(value(&mut i)),
             "--wait-secs" => args.wait_secs = value(&mut i).parse().unwrap_or_else(|_| usage()),
             // ScaledConfig flags, already consumed by from_args above.
@@ -206,7 +201,6 @@ fn smoke(addr: SocketAddr, truth: &dyn DocStore) {
         truth.stats(),
         "served STAT disagrees with the store"
     );
-    assert_ne!(stats.backend_name(), "unknown", "backend tag must be known");
     if stats.cache_budget_bytes > 0 {
         assert!(
             stats.cache_resident_bytes <= stats.cache_budget_bytes,
@@ -332,7 +326,7 @@ fn smoke(addr: SocketAddr, truth: &dyn DocStore) {
 }
 
 /// Carries an existing artifact's rows into `report` so this run appends
-/// instead of replacing (CI collects the backend matrix this way).
+/// instead of replacing (CI collects the cache on/off matrix this way).
 fn carry_over_rows(report: &mut rlz_bench::report::Report, path: &Path) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return; // nothing to append to
@@ -405,7 +399,6 @@ fn main() -> ExitCode {
                 Arc::clone(&truth),
                 listener,
                 rlz_serve::ServeConfig {
-                    backend: args.backend,
                     cache_bytes: args.cache_bytes,
                     ..rlz_serve::ServeConfig::default()
                 },
@@ -413,8 +406,7 @@ fn main() -> ExitCode {
             .expect("start in-process server");
             let addr = handle.addr();
             println!(
-                "serve_load: started in-process server on {addr} ({} backend, cache {})",
-                handle.backend().name(),
+                "serve_load: started in-process server on {addr} (cache {})",
                 if args.cache_bytes > 0 { "on" } else { "off" }
             );
             in_process = Some(handle);

@@ -374,8 +374,6 @@ pub fn run_load(
 pub struct ServerLabels {
     /// `"on"` when the hot-document cache is enabled.
     pub cache: &'static str,
-    /// The event backend name (`"epoll"` / `"portable"`).
-    pub backend: &'static str,
     /// `"on"` when the server collects metrics (the default); `"off"` is
     /// the instrumentation-cost ablation. Part of the row identity so the
     /// trend checker never compares across the ablation boundary.
@@ -393,7 +391,6 @@ impl ServerLabels {
             } else {
                 "off"
             },
-            backend: stats.backend_name(),
             metrics: "on",
         }
     }
@@ -417,7 +414,6 @@ pub fn result_row(
         // trend-compared against unverified measurements.
         .str("verified", if cfg.verify { "yes" } else { "no" })
         .str("cache", labels.cache)
-        .str("backend", labels.backend)
         .str("metrics", labels.metrics)
         .int("connections", cfg.connections as u64)
         .int("batch", cfg.batch as u64)
@@ -524,7 +520,6 @@ pub fn serve_table(
                 threads: cfg.threads.clamp(1, 4),
                 batch_threads: 1,
                 allow_shutdown: true,
-                backend: rlz_serve::Backend::Auto,
                 cache_bytes,
                 max_connections: 0,
                 idle_timeout: None,
@@ -538,13 +533,12 @@ pub fn serve_table(
         let addr = handle.addr();
         let labels = ServerLabels {
             cache: if cache_bytes > 0 { "on" } else { "off" },
-            backend: handle.backend().name(),
             metrics: if metrics { "on" } else { "off" },
         };
         println!(
             "store: Enc {pct:.2}%, {num_docs} docs, serving on {addr} \
-             ({} backend, cache {}, metrics {})\n",
-            labels.backend, labels.cache, labels.metrics
+             (cache {}, metrics {})\n",
+            labels.cache, labels.metrics
         );
         print_serve_header();
 

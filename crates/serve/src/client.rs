@@ -158,7 +158,7 @@ impl RetrySchedule {
 }
 
 /// Everything the extended STAT response reports: the store statistics
-/// plus the serving layer's hot-document cache counters and backend.
+/// plus the serving layer's hot-document cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// The store-level statistics (first 24 body bytes).
@@ -171,19 +171,6 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// Decoded payload bytes currently resident in the cache.
     pub cache_resident_bytes: u64,
-    /// The server's event backend (`protocol::BACKEND_*`).
-    pub backend: u8,
-}
-
-impl ServeStats {
-    /// The backend tag as the name used in logs and bench artifacts.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            protocol::BACKEND_EPOLL => "epoll",
-            protocol::BACKEND_PORTABLE => "portable",
-            _ => "unknown",
-        }
-    }
 }
 
 /// One blocking protocol connection.
@@ -207,7 +194,6 @@ impl Client {
         // zero-window episode can suppress the reopening window update and
         // park the server in 200 ms persist probes (see
         // `event::set_socket_buffers`).
-        #[cfg(target_os = "linux")]
         crate::event::set_socket_buffers(
             std::os::unix::io::AsRawFd::as_raw_fd(&stream),
             0,
@@ -441,7 +427,7 @@ impl Client {
     }
 
     /// Fetches the full extended statistics: store accounting plus the
-    /// hot-document cache counters and the event backend.
+    /// hot-document cache counters.
     pub fn server_stat(&mut self) -> Result<ServeStats, ClientError> {
         self.req.clear();
         protocol::write_stat(&mut self.req);
@@ -452,6 +438,9 @@ impl Client {
             return Err(ClientError::Protocol("STAT body has the wrong length"));
         }
         let word = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"));
+        if body[56] != protocol::BACKEND_EPOLL {
+            return Err(ClientError::Protocol("STAT reports an unknown backend tag"));
+        }
         let integrity = Integrity::from_tag(body[57]).ok_or(ClientError::Protocol(
             "STAT reports an unknown integrity tag",
         ))?;
@@ -466,7 +455,6 @@ impl Client {
             cache_hits: word(32),
             cache_misses: word(40),
             cache_resident_bytes: word(48),
-            backend: body[56],
         })
     }
 

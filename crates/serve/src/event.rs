@@ -20,8 +20,8 @@
 //!   many are blocked, immediately — this is what lets `epoll_wait` run
 //!   with an infinite timeout and still honour shutdown in microseconds.
 //!
-//! On non-Linux targets this module is not compiled; the server falls back
-//! to the portable poll loop (see `server.rs`).
+//! There is no fallback for other platforms: the crate refuses to compile
+//! off Linux (see `lib.rs`).
 
 #![allow(unsafe_code)]
 

@@ -9,11 +9,9 @@
 //! * [`protocol`] — frame layout, opcodes, status codes, and a hardened
 //!   zero-copy parser (see its module docs for the full wire format);
 //! * [`server`] — readiness-driven worker threads over a shared
-//!   nonblocking listener; no external async runtime. On Linux the workers
-//!   block in the kernel via raw `epoll` bindings ([`event`]) — zero
-//!   busy-wait when idle — with a portable poll-loop fallback elsewhere
-//!   (or via `RLZ_SERVE_BACKEND=portable`). Frame draining is
-//!   pipelining-aware (buffered GET runs are batched through the
+//!   nonblocking listener; no external async runtime. The workers block
+//!   in the kernel via raw `epoll` bindings ([`event`]) — zero busy-wait
+//!   when idle. Frame draining is pipelining-aware (buffered GET runs are batched through the
 //!   seek-aware `get_batch`), MGETs deduplicate repeated ids, and an
 //!   optional byte-budgeted hot-document cache serves popular documents
 //!   straight from memory. Each worker reuses per-connection buffers plus
@@ -62,8 +60,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The event loop is built on raw epoll and eventfd; there is no fallback.
+#[cfg(not(target_os = "linux"))]
+compile_error!("rlz-serve requires Linux: its event loop is built on epoll");
+
 pub mod client;
-#[cfg(target_os = "linux")]
 pub mod event;
 pub mod metrics;
 pub mod protocol;
@@ -71,4 +72,4 @@ pub mod server;
 
 pub use client::{Client, ClientError, ServeStats};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, Op};
-pub use server::{serve, Action, Backend, ResolvedBackend, Responder, ServeConfig, ServerHandle};
+pub use server::{serve, Action, Responder, ServeConfig, ServerHandle};

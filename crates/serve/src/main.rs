@@ -3,8 +3,7 @@
 //! ```text
 //! rlz-serve --store DIR [--addr 127.0.0.1:7641] [--threads N]
 //!           [--family auto|live|rlz|blocked|ascii] [--resident]
-//!           [--batch-threads N] [--no-shutdown-opcode]
-//!           [--backend auto|epoll|portable] [--cache-bytes N]
+//!           [--batch-threads N] [--no-shutdown-opcode] [--cache-bytes N]
 //!           [--max-connections N] [--idle-timeout-ms N]
 //!           [--shed-queue-depth N] [--fsync always|interval:<ms>|never]
 //!           [--seal-bytes N] [--wal-soft-bytes N] [--wal-max-bytes N]
@@ -20,12 +19,11 @@
 //! and `--wal-soft-bytes` / `--wal-max-bytes` the backlog bounds (writes
 //! shed with ERR_BUSY past the soft bound; the hard bound seals to drain
 //! the log, answering ERR_WAL_FULL only if that seal reclaims nothing).
-//! `--resident` loads the payload into memory so retrieval
-//! does no disk I/O. `--backend` picks the event backend (`auto` follows
-//! `RLZ_SERVE_BACKEND`, then epoll on Linux); `--cache-bytes N` enables
-//! the hot-document cache with an N-byte budget. The server runs until it
-//! receives the protocol's SHUTDOWN opcode (disable with
-//! `--no-shutdown-opcode`) or the process is signalled.
+//! `--resident` loads the payload into memory so retrieval does no disk
+//! I/O. `--cache-bytes N` enables the hot-document cache with an N-byte
+//! budget. The server runs until it receives the protocol's SHUTDOWN
+//! opcode (disable with `--no-shutdown-opcode`) or the process is
+//! signalled.
 //!
 //! Overload controls: `--max-connections N` rejects connections past N
 //! with a single ERR_BUSY frame, `--idle-timeout-ms N` drops connections
@@ -40,7 +38,7 @@
 //! at startup). `--no-metrics` disables collection entirely (a benchmark
 //! ablation; the METRICS opcode then answers ERR_BAD_OPCODE).
 
-use rlz_serve::{serve, Backend, ServeConfig};
+use rlz_serve::{serve, ServeConfig};
 use rlz_store::{
     AsciiStore, BlockedStore, DocStore, FsyncPolicy, LiveConfig, LiveStore, RlzStore, WriteStore,
     MANIFEST_FILE,
@@ -54,8 +52,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rlz-serve --store DIR [--addr HOST:PORT] [--threads N]\n\
          \x20                [--family auto|live|rlz|blocked|ascii] [--resident]\n\
-         \x20                [--batch-threads N] [--no-shutdown-opcode]\n\
-         \x20                [--backend auto|epoll|portable] [--cache-bytes N]\n\
+         \x20                [--batch-threads N] [--no-shutdown-opcode] [--cache-bytes N]\n\
          \x20                [--max-connections N] [--idle-timeout-ms N]\n\
          \x20                [--shed-queue-depth N]\n\
          \x20                [--fsync always|interval:<ms>|never] [--seal-bytes N]\n\
@@ -154,7 +151,6 @@ fn main() -> ExitCode {
                 cfg.batch_threads = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
             "--no-shutdown-opcode" => cfg.allow_shutdown = false,
-            "--backend" => cfg.backend = Backend::parse(&value(&mut i)).unwrap_or_else(|| usage()),
             "--cache-bytes" => cfg.cache_bytes = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--max-connections" => {
                 cfg.max_connections = value(&mut i).parse().unwrap_or_else(|_| usage())
@@ -222,13 +218,12 @@ fn main() -> ExitCode {
     };
     println!(
         "rlz-serve: {} docs ({} payload bytes, max record {} bytes) listening on {} \
-         ({} workers, {} backend, cache {}, shutdown opcode {})",
+         ({} workers, cache {}, shutdown opcode {})",
         stats.num_docs,
         stats.payload_bytes,
         stats.max_record_len,
         handle.addr(),
         cfg.threads.max(1),
-        handle.backend().name(),
         if cfg.cache_bytes > 0 {
             format!("{} bytes", cfg.cache_bytes)
         } else {

@@ -76,7 +76,7 @@
 //! ```
 //!
 //! `cache_budget_bytes` is 0 when the hot-document cache is disabled;
-//! `backend` is one of the `BACKEND_*` tags; `integrity` is the store's
+//! `backend` is always [`BACKEND_EPOLL`] (1); `integrity` is the store's
 //! `rlz_store::Integrity` tag (0 = none, 1 = crc32c). Clients that only
 //! care about the store may read the first 24 bytes and ignore the rest.
 //!
@@ -136,9 +136,8 @@ pub const STATUS_READONLY: u8 = 0x07;
 /// Back off longer than for `ERR_BUSY`.
 pub const STATUS_WAL_FULL: u8 = 0x08;
 
-/// STAT backend tag: the portable poll-loop fallback.
-pub const BACKEND_PORTABLE: u8 = 0;
-/// STAT backend tag: kernel readiness notification (epoll).
+/// STAT backend tag: kernel readiness notification (epoll), the only event
+/// loop. The byte keeps its place so the STAT layout stays unchanged.
 pub const BACKEND_EPOLL: u8 = 1;
 
 /// Length of the STAT OK body: 7 × `u64` + the backend tag byte + the

@@ -1,23 +1,13 @@
 //! The serving engine: readiness-driven workers over a shared nonblocking
 //! listener, with no external async runtime.
 //!
-//! Two interchangeable backends drive the same connection state machine:
-//!
-//! * **epoll** (Linux, the default) — each worker owns an epoll instance;
-//!   the shared listener is registered `EPOLLEXCLUSIVE` (one readiness
-//!   event wakes one worker, no thundering herd) and every connection is
-//!   registered edge-triggered. Idle workers block **in the kernel** with
-//!   an infinite timeout — zero busy-wait, ~0% idle CPU — and wake in
-//!   microseconds when a socket turns readable. Write interest is armed
-//!   only while a connection's output is backed up, and a shared
-//!   `eventfd` wakes every worker immediately on shutdown.
-//! * **portable fallback** — the original poll-everything loop, kept for
-//!   non-Linux targets and as an ablation (`RLZ_SERVE_BACKEND=portable`).
-//!   Its idle park now uses a decaying backoff: any progress resets the
-//!   park interval to `PARK_MIN`, so a request landing on a
-//!   recently-active worker is picked up within microseconds instead of a
-//!   full fixed park interval, while a long-idle worker backs off to
-//!   `PARK_MAX` between polls.
+//! Each worker owns an epoll instance. The shared listener is registered
+//! `EPOLLEXCLUSIVE` (one readiness event wakes one worker, no thundering
+//! herd) and every connection is registered edge-triggered. Idle workers
+//! block **in the kernel** with an infinite timeout — zero busy-wait, ~0%
+//! idle CPU — and wake in microseconds when a socket turns readable. Write
+//! interest is armed only while a connection's output is backed up, and a
+//! shared `eventfd` wakes every worker immediately on shutdown.
 //!
 //! The connection state machine is **pipelining-aware**: every complete
 //! frame buffered on a readable socket is drained in one pass, and runs of
@@ -42,8 +32,8 @@
 
 use crate::metrics::{self, Metrics, Op};
 use crate::protocol::{
-    self, Parsed, Request, BACKEND_EPOLL, BACKEND_PORTABLE, STATUS_BAD_FRAME, STATUS_BAD_OPCODE,
-    STATUS_BUSY, STATUS_CORRUPT, STATUS_INTERNAL, STATUS_OK, STATUS_OUT_OF_RANGE, STATUS_READONLY,
+    self, Parsed, Request, BACKEND_EPOLL, STATUS_BAD_FRAME, STATUS_BAD_OPCODE, STATUS_BUSY,
+    STATUS_CORRUPT, STATUS_INTERNAL, STATUS_OK, STATUS_OUT_OF_RANGE, STATUS_READONLY,
     STATUS_WAL_FULL,
 };
 use rlz_store::{DocStore, ShardedLru, StoreError, WriteStore};
@@ -53,9 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(target_os = "linux")]
 use crate::event::{interest, Epoll, WakeFd};
-#[cfg(target_os = "linux")]
 use std::os::unix::io::AsRawFd;
 
 /// Stop reading from a connection while this much output is queued
@@ -65,105 +53,9 @@ const OUT_HIGH_WATER: usize = 8 << 20;
 /// Read chunk size per `read()` call.
 const READ_CHUNK: usize = 64 << 10;
 
-/// Fallback backend: shortest idle park (the interval immediately after
-/// any progress, so a fresh request is noticed quickly).
-const PARK_MIN: Duration = Duration::from_micros(20);
-
-/// Fallback backend: longest idle park (the decayed interval a long-idle
-/// worker settles at, bounding idle CPU).
-const PARK_MAX: Duration = Duration::from_millis(2);
-
 /// Pipelined GET frames batched per `get_batch` call before responses are
 /// written (bounds how much output one drain turn can materialize).
 const GET_RUN_MAX: usize = 512;
-
-/// Which event backend drives the workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// `RLZ_SERVE_BACKEND` env override if set, else epoll on Linux and
-    /// the portable fallback elsewhere.
-    #[default]
-    Auto,
-    /// OS readiness notification (Linux only; an error elsewhere).
-    Epoll,
-    /// The portable poll loop with decaying idle backoff.
-    Portable,
-}
-
-impl Backend {
-    /// Parses a CLI/env name.
-    pub fn parse(name: &str) -> Option<Backend> {
-        match name {
-            "auto" => Some(Backend::Auto),
-            "epoll" => Some(Backend::Epoll),
-            "portable" | "poll" => Some(Backend::Portable),
-            _ => None,
-        }
-    }
-
-    fn resolve(self) -> io::Result<ResolvedBackend> {
-        match self {
-            Backend::Portable => Ok(ResolvedBackend::Portable),
-            Backend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    Ok(ResolvedBackend::Epoll)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "the epoll backend requires Linux; use Backend::Portable",
-                    ))
-                }
-            }
-            Backend::Auto => match std::env::var("RLZ_SERVE_BACKEND") {
-                Ok(name) => match Backend::parse(&name) {
-                    Some(Backend::Auto) | None => Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("RLZ_SERVE_BACKEND={name:?} (expected \"epoll\" or \"portable\")"),
-                    )),
-                    Some(chosen) => chosen.resolve(),
-                },
-                Err(_) => {
-                    if cfg!(target_os = "linux") {
-                        Backend::Epoll.resolve()
-                    } else {
-                        Ok(ResolvedBackend::Portable)
-                    }
-                }
-            },
-        }
-    }
-}
-
-/// The backend a running server actually uses (after [`Backend::Auto`]
-/// resolution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedBackend {
-    /// Kernel readiness notification.
-    Epoll,
-    /// Poll loop with decaying backoff.
-    Portable,
-}
-
-impl ResolvedBackend {
-    /// Human-readable name (matches the bench artifact labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolvedBackend::Epoll => "epoll",
-            ResolvedBackend::Portable => "portable",
-        }
-    }
-
-    /// The wire tag reported in the extended STAT response.
-    pub fn tag(self) -> u8 {
-        match self {
-            ResolvedBackend::Epoll => BACKEND_EPOLL,
-            ResolvedBackend::Portable => BACKEND_PORTABLE,
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Clone)]
@@ -179,8 +71,6 @@ pub struct ServeConfig {
     /// CI smoke flows; a production deployment would disable it and use
     /// process signals).
     pub allow_shutdown: bool,
-    /// Event backend selection (see [`Backend`]).
-    pub backend: Backend,
     /// Hot-document cache budget in bytes; 0 disables the cache. The cache
     /// holds decoded payloads keyed by doc id, shared by all workers, and
     /// reports hits/misses/resident bytes through STAT.
@@ -226,7 +116,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("threads", &self.threads)
             .field("batch_threads", &self.batch_threads)
             .field("allow_shutdown", &self.allow_shutdown)
-            .field("backend", &self.backend)
             .field("cache_bytes", &self.cache_bytes)
             .field("max_connections", &self.max_connections)
             .field("idle_timeout", &self.idle_timeout)
@@ -247,7 +136,6 @@ impl Default for ServeConfig {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             batch_threads: 1,
             allow_shutdown: true,
-            backend: Backend::Auto,
             cache_bytes: 0,
             max_connections: 0,
             idle_timeout: None,
@@ -309,10 +197,8 @@ fn reject_busy(stream: TcpStream, metrics: Option<&Metrics>) {
 pub struct ServerHandle {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    backend: ResolvedBackend,
     stop: Arc<AtomicBool>,
-    #[cfg(target_os = "linux")]
-    wake: Option<WakeFd>,
+    wake: WakeFd,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -328,11 +214,6 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// The event backend the workers run on.
-    pub fn backend(&self) -> ResolvedBackend {
-        self.backend
-    }
-
     /// True once the server has stopped (SHUTDOWN opcode or [`stop`]).
     ///
     /// [`stop`]: ServerHandle::stop
@@ -344,10 +225,7 @@ impl ServerHandle {
     /// in the kernel are woken immediately.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
-        #[cfg(target_os = "linux")]
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
+        self.wake.wake();
     }
 
     /// Blocks until every worker has exited (a SHUTDOWN frame, or a prior
@@ -376,7 +254,6 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let backend = cfg.backend.resolve()?;
     let stop = Arc::new(AtomicBool::new(false));
     let overload = Overload::from_config(&cfg);
     let cache: Option<Arc<ShardedLru>> =
@@ -384,17 +261,12 @@ pub fn serve(
     let metrics: Option<Arc<Metrics>> = cfg.metrics.then(|| Arc::new(Metrics::new()));
     let threads = cfg.threads.max(1);
     let mut workers = Vec::with_capacity(threads + 1);
-    #[cfg(target_os = "linux")]
-    let wake = match backend {
-        ResolvedBackend::Epoll => Some(WakeFd::new()?),
-        ResolvedBackend::Portable => None,
-    };
+    let wake = WakeFd::new()?;
     for w in 0..threads {
         let listener = listener.try_clone()?;
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
-        let mut responder =
-            Responder::new(cfg.batch_threads, cfg.allow_shutdown).with_backend_tag(backend.tag());
+        let mut responder = Responder::new(cfg.batch_threads, cfg.allow_shutdown);
         if let Some(cache) = &cache {
             responder = responder.with_cache(Arc::clone(cache));
         }
@@ -406,21 +278,11 @@ pub fn serve(
         }
         let builder = std::thread::Builder::new().name(format!("rlz-serve-{w}"));
         let overload = overload.clone();
-        let handle = match backend {
-            #[cfg(target_os = "linux")]
-            ResolvedBackend::Epoll => {
-                let ep = Epoll::new()?;
-                let wake = wake.clone().expect("epoll backend always has a wake fd");
-                builder.spawn(move || {
-                    epoll_worker_loop(ep, listener, store, stop, responder, wake, overload)
-                })?
-            }
-            #[cfg(not(target_os = "linux"))]
-            ResolvedBackend::Epoll => unreachable!("epoll backend never resolves off Linux"),
-            ResolvedBackend::Portable => builder
-                .spawn(move || portable_worker_loop(listener, store, stop, responder, overload))?,
-        };
-        workers.push(handle);
+        let ep = Epoll::new()?;
+        let wake = wake.clone();
+        workers.push(builder.spawn(move || {
+            epoll_worker_loop(ep, listener, store, stop, responder, wake, overload)
+        })?);
     }
     let metrics_addr = match (cfg.metrics_addr, &metrics) {
         (Some(bind_addr), Some(metrics)) => {
@@ -449,9 +311,7 @@ pub fn serve(
     Ok(ServerHandle {
         addr,
         metrics_addr,
-        backend,
         stop,
-        #[cfg(target_os = "linux")]
         wake,
         workers,
     })
@@ -541,7 +401,6 @@ fn serve_metrics_http(
 pub struct Responder {
     batch_threads: usize,
     allow_shutdown: bool,
-    backend_tag: u8,
     /// Shared hot-document cache (decoded payloads keyed by doc id).
     cache: Option<Arc<ShardedLru>>,
     /// MGET/GET-run request ids, in request order.
@@ -590,7 +449,6 @@ impl Responder {
         Responder {
             batch_threads: batch_threads.max(1),
             allow_shutdown,
-            backend_tag: BACKEND_PORTABLE,
             cache: None,
             ids: Vec::new(),
             order: Vec::new(),
@@ -609,12 +467,6 @@ impl Responder {
     /// Attaches a shared hot-document cache.
     pub fn with_cache(mut self, cache: Arc<ShardedLru>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Sets the backend tag reported through STAT.
-    pub fn with_backend_tag(mut self, tag: u8) -> Self {
-        self.backend_tag = tag;
         self
     }
 
@@ -713,7 +565,7 @@ impl Responder {
                 out.extend_from_slice(&hits.to_le_bytes());
                 out.extend_from_slice(&misses.to_le_bytes());
                 out.extend_from_slice(&resident.to_le_bytes());
-                out.push(self.backend_tag);
+                out.push(BACKEND_EPOLL);
                 out.push(stats.integrity.tag());
                 protocol::finish_response(out, start, STATUS_OK);
                 Action::Continue
@@ -1110,10 +962,8 @@ struct Conn {
     /// The peer half-closed its send side (read returned 0).
     peer_eof: bool,
     /// Write interest is currently armed in the epoll set.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     want_write: bool,
     /// Currently in the epoll worker's ready queue.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     queued: bool,
     /// Last instant this connection made any progress (bytes either way);
     /// the idle-timeout sweep closes connections stuck past the limit.
@@ -1121,10 +971,8 @@ struct Conn {
 }
 
 enum TickOutcome {
-    /// Made progress (accepted bytes either way).
-    Busy,
-    /// Nothing to do right now.
-    Idle,
+    /// The connection stays open (whether or not this turn made progress).
+    Open,
     /// Connection finished or failed; drop it.
     Drop,
     /// A SHUTDOWN request was honoured.
@@ -1136,19 +984,16 @@ enum TickOutcome {
 /// (fewer write-readiness round trips; see
 /// [`event::set_socket_buffers`](crate::event::set_socket_buffers) for the
 /// TCP persist-stall rationale).
-#[cfg(target_os = "linux")]
 const CONN_SNDBUF: usize = 1 << 20;
 
 /// Server-side receive buffer: comfortably holds the largest request
 /// frame (a maximal MGET is ~256 KiB).
-#[cfg(target_os = "linux")]
 const CONN_RCVBUF: usize = 512 << 10;
 
 impl Conn {
     fn new(stream: TcpStream) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        #[cfg(target_os = "linux")]
         crate::event::set_socket_buffers(stream.as_raw_fd(), CONN_SNDBUF, CONN_RCVBUF);
         Ok(Conn {
             stream,
@@ -1344,10 +1189,8 @@ impl Conn {
         if self.closing {
             let outcome = if self.out_buf.is_empty() {
                 TickOutcome::Drop
-            } else if busy {
-                TickOutcome::Busy
             } else {
-                TickOutcome::Idle
+                TickOutcome::Open
             };
             return (outcome, false);
         }
@@ -1379,12 +1222,7 @@ impl Conn {
         if self.closing && self.out_buf.is_empty() {
             return (TickOutcome::Drop, input);
         }
-        let outcome = if busy {
-            TickOutcome::Busy
-        } else {
-            TickOutcome::Idle
-        };
-        (outcome, input)
+        (TickOutcome::Open, input)
     }
 
     /// Best-effort blocking drain of queued output, used when the server is
@@ -1403,129 +1241,7 @@ impl Conn {
     }
 }
 
-/// The portable fallback: sweep accept + every connection, park briefly
-/// when a whole sweep makes no progress. The park interval decays: any
-/// progress resets it to `PARK_MIN` (a follow-up request is noticed in
-/// microseconds), consecutive idle sweeps double it up to `PARK_MAX`
-/// (bounding idle CPU without a fixed first-request latency tax).
-fn portable_worker_loop(
-    listener: TcpListener,
-    store: Arc<dyn DocStore>,
-    stop: Arc<AtomicBool>,
-    mut responder: Responder,
-    ov: Overload,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut park = PARK_MIN;
-    // The fallback's queue-depth proxy: how many connections were actively
-    // progressing in the previous sweep (the epoll backend reads its ready
-    // queue directly).
-    let mut busy_prev = 0usize;
-    while !stop.load(Ordering::Acquire) {
-        let mut busy = false;
-        // Accept everything pending; the listener is shared, so whichever
-        // worker polls first takes the connection.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if ov.at_capacity() {
-                        reject_busy(stream, responder.metrics.as_deref());
-                        busy = true;
-                        continue;
-                    }
-                    match Conn::new(stream) {
-                        Ok(conn) => {
-                            ov.conn_count.fetch_add(1, Ordering::AcqRel);
-                            if let Some(m) = &responder.metrics {
-                                m.note_conn_opened();
-                            }
-                            conns.push(conn);
-                            busy = true;
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept failures (EMFILE, aborted handshakes):
-                // yield and retry next turn.
-                Err(_) => break,
-            }
-        }
-        let mut busy_now = 0usize;
-        let mut i = 0;
-        while i < conns.len() {
-            // Queue-depth proxy: connections progressing in the previous
-            // sweep, or already progressed in this one — whichever is
-            // larger. The in-sweep count matters for a cold burst: six
-            // connections arriving at once must start shedding mid-sweep,
-            // not one lagged sweep later when their input is already
-            // drained.
-            let shed = ov.shed_queue_depth > 0 && busy_prev.max(busy_now) > ov.shed_queue_depth;
-            match conns[i]
-                .tick(store.as_ref(), &mut responder, &mut chunk, shed)
-                .0
-            {
-                TickOutcome::Busy => {
-                    busy = true;
-                    busy_now += 1;
-                    i += 1;
-                }
-                TickOutcome::Idle => i += 1,
-                TickOutcome::Drop => {
-                    ov.conn_count.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(m) = &responder.metrics {
-                        m.note_conn_closed();
-                    }
-                    conns.swap_remove(i);
-                }
-                TickOutcome::Shutdown => {
-                    conns[i].final_flush();
-                    ov.conn_count.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(m) = &responder.metrics {
-                        m.note_conn_closed();
-                    }
-                    conns.swap_remove(i);
-                    stop.store(true, Ordering::Release);
-                    busy = true;
-                }
-            }
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-        }
-        busy_prev = busy_now;
-        if let Some(m) = &responder.metrics {
-            m.note_queue_depth(busy_now as u64);
-        }
-        if let Some(timeout) = ov.idle_timeout {
-            conns.retain(|conn| {
-                let keep = !conn.idle_expired(timeout);
-                if !keep {
-                    ov.conn_count.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(m) = &responder.metrics {
-                        m.note_idle_reaped();
-                    }
-                }
-                keep
-            });
-        }
-        if busy {
-            park = PARK_MIN;
-        } else {
-            std::thread::park_timeout(park);
-            park = (park * 2).min(PARK_MAX);
-        }
-    }
-    // Stopping: give every connection one last chance to receive queued
-    // responses before the sockets drop.
-    for conn in &mut conns {
-        conn.final_flush();
-    }
-}
-
-/// The epoll backend: block in the kernel until a registered fd is ready,
+/// A worker's event loop: block in the kernel until a registered fd is ready,
 /// then serve exactly the connections with work, round-robin. Connections
 /// are edge-triggered (the tick logic drains until `WouldBlock`); write
 /// interest is armed only while a connection has queued output the socket
@@ -1539,7 +1255,6 @@ fn portable_worker_loop(
 /// the server's next read probe, extending the "progress" loop
 /// indefinitely while every other socket starves (observed as 100 ms+
 /// tail stalls before this queue existed).
-#[cfg(target_os = "linux")]
 fn epoll_worker_loop(
     ep: Epoll,
     listener: TcpListener,
@@ -1697,7 +1412,6 @@ fn epoll_worker_loop(
 
 /// Queues `slot` for a serve turn unless it is already queued (one queue
 /// entry per connection keeps turns fair and the queue bounded).
-#[cfg(target_os = "linux")]
 fn enqueue(ready: &mut std::collections::VecDeque<usize>, conns: &mut [Option<Conn>], slot: usize) {
     if let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) {
         if !conn.queued {
@@ -1708,7 +1422,6 @@ fn enqueue(ready: &mut std::collections::VecDeque<usize>, conns: &mut [Option<Co
 }
 
 /// What a serve turn decided about the connection's future.
-#[cfg(target_os = "linux")]
 enum Turn {
     /// Input is still flowing: give it another turn (at the queue tail).
     Again,
@@ -1723,7 +1436,6 @@ enum Turn {
 /// match whether output is backed up. Edge-triggered registration is safe
 /// because a turn that still saw input progress is re-queued by the
 /// caller until a tick finds nothing new.
-#[cfg(target_os = "linux")]
 #[allow(clippy::too_many_arguments)]
 fn serve_turn(
     ep: &Epoll,
@@ -1741,7 +1453,7 @@ fn serve_turn(
     };
     let (outcome, input) = conn.tick(store, responder, chunk, shed);
     match outcome {
-        TickOutcome::Busy | TickOutcome::Idle => {
+        TickOutcome::Open => {
             let want = conn.out_pending();
             if want != conn.want_write {
                 let interest = if want {

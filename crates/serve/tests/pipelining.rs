@@ -5,13 +5,11 @@
 //! middle of a length prefix or an id). The ground truth is a local
 //! [`Responder`] executing the same frames one at a time; the server's
 //! batched pipelined path must be indistinguishable from it on the wire.
-//!
-//! Runs against real servers on both event backends.
 
 use proptest::prelude::*;
 use rlz_core::{Dictionary, PairCoding, SampleStrategy};
 use rlz_serve::protocol::{self, parse_request, Parsed};
-use rlz_serve::{serve, Backend, Responder, ServeConfig, ServerHandle};
+use rlz_serve::{serve, Responder, ServeConfig, ServerHandle};
 use rlz_store::{RlzStore, RlzStoreBuilder};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -39,30 +37,20 @@ fn test_store() -> &'static RlzStore {
     })
 }
 
-type ServerSet = (Vec<(Backend, SocketAddr)>, Vec<ServerHandle>);
-
-/// One long-lived server per backend (handles parked for the process
-/// lifetime; the sockets close when the test binary exits).
-fn servers() -> &'static Vec<(Backend, SocketAddr)> {
-    static SERVERS: OnceLock<ServerSet> = OnceLock::new();
-    let (addrs, _) = SERVERS.get_or_init(|| {
-        let mut addrs = Vec::new();
-        let mut handles = Vec::new();
-        let backends = if cfg!(target_os = "linux") {
-            vec![Backend::Epoll, Backend::Portable]
-        } else {
-            vec![Backend::Portable]
-        };
-        for backend in backends {
+/// One long-lived server (handle parked for the process lifetime; the
+/// socket closes when the test binary exits).
+fn server() -> SocketAddr {
+    static SERVER: OnceLock<ServerHandle> = OnceLock::new();
+    SERVER
+        .get_or_init(|| {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let handle = serve(
+            serve(
                 std::sync::Arc::new(test_store().clone()),
                 listener,
                 ServeConfig {
                     threads: 2,
                     batch_threads: 1,
                     allow_shutdown: false,
-                    backend,
                     cache_bytes: 0,
                     max_connections: 0,
                     idle_timeout: None,
@@ -72,21 +60,17 @@ fn servers() -> &'static Vec<(Backend, SocketAddr)> {
                     metrics_addr: None,
                 },
             )
-            .unwrap();
-            addrs.push((backend, handle.addr()));
-            handles.push(handle);
-        }
-        (addrs, handles)
-    });
-    addrs
+            .unwrap()
+        })
+        .addr()
 }
 
 /// The byte-exact responses the server must produce for `frames`: a local
 /// responder executing each frame in isolation. The pipelined batched
 /// path on the wire must be indistinguishable from this.
-fn expected_responses(frames: &[u8], backend_tag: u8) -> Vec<u8> {
+fn expected_responses(frames: &[u8]) -> Vec<u8> {
     let store = test_store();
-    let mut responder = Responder::new(1, false).with_backend_tag(backend_tag);
+    let mut responder = Responder::new(1, false);
     let mut out = Vec::new();
     let mut at = 0;
     while at < frames.len() {
@@ -181,30 +165,9 @@ proptest! {
             encode_frame(&mut frames, kind, &ids);
         }
         let cuts: Vec<usize> = cuts.iter().map(|&c| c as usize).collect();
-        for &(backend, addr) in servers() {
-            let expected = expected_responses(&frames, backend_tag(backend));
-            let result = roundtrip_segmented(addr, &frames, &expected, &cuts, false);
-            prop_assert!(
-                result.is_ok(),
-                "{}: {}",
-                name_of(backend),
-                result.unwrap_err()
-            );
-        }
-    }
-}
-
-fn backend_tag(b: Backend) -> u8 {
-    match b {
-        Backend::Epoll => protocol::BACKEND_EPOLL,
-        _ => protocol::BACKEND_PORTABLE,
-    }
-}
-
-fn name_of(b: Backend) -> &'static str {
-    match b {
-        Backend::Epoll => "epoll",
-        _ => "portable",
+        let expected = expected_responses(&frames);
+        let result = roundtrip_segmented(server(), &frames, &expected, &cuts, false);
+        prop_assert!(result.is_ok(), "{}", result.unwrap_err());
     }
 }
 
@@ -219,11 +182,9 @@ fn byte_at_a_time_segments_are_byte_identical() {
     protocol::write_stat(&mut frames);
     protocol::write_get(&mut frames, 0);
     let cuts: Vec<usize> = (0..frames.len()).collect();
-    for &(backend, addr) in servers() {
-        let expected = expected_responses(&frames, backend_tag(backend));
-        roundtrip_segmented(addr, &frames, &expected, &cuts, true)
-            .unwrap_or_else(|e| panic!("{}: {e}", name_of(backend)));
-    }
+    let expected = expected_responses(&frames);
+    roundtrip_segmented(server(), &frames, &expected, &cuts, true)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A large pipelined burst in one write exercises the batched GET-run
@@ -234,9 +195,6 @@ fn single_write_burst_matches_per_frame_responses() {
     for i in 0..700u32 {
         protocol::write_get(&mut frames, (i * 13) % NUM_DOCS as u32);
     }
-    for &(backend, addr) in servers() {
-        let expected = expected_responses(&frames, backend_tag(backend));
-        roundtrip_segmented(addr, &frames, &expected, &[], false)
-            .unwrap_or_else(|e| panic!("{}: {e}", name_of(backend)));
-    }
+    let expected = expected_responses(&frames);
+    roundtrip_segmented(server(), &frames, &expected, &[], false).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -39,6 +39,11 @@ pub struct FaultPlan {
     /// How many bytes of the crashing append reach the media before the
     /// simulated crash (a torn write). 0 = the frame vanishes whole.
     pub torn_write_bytes: usize,
+    /// One-shot fsync failure, honored by [`FaultMedia`]: the Nth WAL sync
+    /// (0-based) fails with EIO and syncs nothing. Bytes already appended
+    /// stay in the file and every other call passes through, the way a
+    /// real failed `fsync` leaves a frame behind.
+    pub fail_sync_at: Option<u64>,
 }
 
 impl FaultPlan {
@@ -110,15 +115,18 @@ impl FaultBackend {
 }
 
 /// A [`WalMedia`](crate::WalMedia) decorator injecting the write-side
-/// faults of a [`FaultPlan`]: a crash point (by append count) and a torn
-/// final write. After the simulated crash the wrapped file holds exactly
-/// the bytes a `kill -9` at that instant would have left, so a test
-/// reopens the directory normally and exercises the true recovery path.
+/// faults of a [`FaultPlan`]: a crash point (by append count), a torn
+/// final write, and a one-shot fsync failure (by sync count). After the
+/// simulated crash the wrapped file holds exactly the bytes a `kill -9` at
+/// that instant would have left, so a test reopens the directory normally
+/// and exercises the true recovery path.
 pub struct FaultMedia {
     inner: Box<dyn crate::WalMedia>,
     crash_after_appends: Option<u64>,
     torn_write_bytes: usize,
+    fail_sync_at: Option<u64>,
     appends: u64,
+    syncs: u64,
     crashed: bool,
 }
 
@@ -131,7 +139,9 @@ impl FaultMedia {
             inner,
             crash_after_appends: plan.crash_after_appends,
             torn_write_bytes: plan.torn_write_bytes,
+            fail_sync_at: plan.fail_sync_at,
             appends: 0,
+            syncs: 0,
             crashed: false,
         }
     }
@@ -166,6 +176,11 @@ impl crate::WalMedia for FaultMedia {
                 io::ErrorKind::BrokenPipe,
                 "injected crash: writer process is gone",
             ));
+        }
+        let n = self.syncs;
+        self.syncs += 1;
+        if self.fail_sync_at == Some(n) {
+            return Err(io::Error::other("injected fsync failure (EIO)"));
         }
         self.inner.sync()
     }

@@ -369,6 +369,14 @@ impl LiveStore {
                 if record.seq <= manifest.applied_seq {
                     continue; // already folded into a sealed segment
                 }
+                // Sequence numbers strictly increase through the log. A
+                // repeat or a step back means two frames claim one slot,
+                // and the positional PUT ids below would shift.
+                if record.seq < next_seq {
+                    return Err(StoreError::corrupt(
+                        "WAL frame sequence numbers do not increase",
+                    ));
+                }
                 next_seq = record.seq + 1;
                 replayed += 1;
                 match &record.op {
@@ -474,8 +482,9 @@ impl LiveStore {
                     std::thread::sleep(every);
                     let Some(inner) = weak.upgrade() else { break };
                     let mut writer = inner.writer.lock().expect("writer lock");
-                    // An fsync failure here is retried next tick; the
-                    // frames stay in the WAL either way.
+                    // The result needs no handling here: a failed fsync
+                    // poisons the log, so every later write answers
+                    // ReadOnly until the store is reopened.
                     let _ = writer.wal.sync();
                 })
                 .map_err(StoreError::Io)?;
@@ -602,6 +611,11 @@ impl LiveStore {
     }
 
     fn seal_locked(&self, writer: &mut Writer) -> Result<(), StoreError> {
+        // A poisoned log cannot be reset, so a seal would publish a
+        // manifest whose WAL never drains. Refuse before writing anything.
+        if writer.wal.is_poisoned() {
+            return Err(StoreError::ReadOnly);
+        }
         if writer.tail.is_empty() {
             // No new documents, but the WAL can still hold frames that
             // replayed to no-ops (APPENDs to since-deleted docs are
@@ -1089,6 +1103,93 @@ mod tests {
                 for (i, d) in docs.iter().take(recovered).enumerate() {
                     assert_eq!(&store.get(i).unwrap(), d, "crash_at {crash_at} torn {torn}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_fsync_never_shifts_an_acked_id() {
+        // One WAL sync fails while its frame is already in the file. Every
+        // acked document must keep its id and bytes across a reopen; the
+        // failed PUT may survive only at the id it was about to get.
+        let docs: Vec<Vec<u8>> = (0..5).map(doc).collect();
+        for fail_at in 0..4u64 {
+            let dir = TestDir::new("live-fsync-fail");
+            LiveStore::create(dir.path(), dict(), PairCoding::ZV, LiveConfig::default()).unwrap();
+            let plan = FaultPlan {
+                fail_sync_at: Some(fail_at),
+                ..FaultPlan::default()
+            };
+            let store = LiveStore::open_with_media(dir.path(), LiveConfig::default(), |m| {
+                Box::new(FaultMedia::new(Box::new(m), &plan))
+            })
+            .unwrap();
+            let mut acked: Vec<(u32, &Vec<u8>)> = Vec::new();
+            let mut failed: Option<(u32, &Vec<u8>)> = None;
+            for d in &docs {
+                match store.put(d) {
+                    Ok(id) => acked.push((id, d)),
+                    Err(e) if failed.is_none() => {
+                        assert!(matches!(e, StoreError::Io(_)), "fail_at {fail_at}: {e}");
+                        failed = Some((acked.len() as u32, d));
+                    }
+                    // The poisoned log refuses every later write.
+                    Err(e) => assert!(matches!(e, StoreError::ReadOnly), "fail_at {fail_at}: {e}"),
+                }
+            }
+            let (failed_id, failed_doc) = failed.expect("the injected sync fails one PUT");
+            assert_eq!(acked.len() as u64, fail_at, "acks stop at the failed sync");
+            assert!(matches!(store.sync(), Err(StoreError::ReadOnly)));
+            assert!(matches!(store.seal(), Err(StoreError::ReadOnly)));
+            for &(id, d) in &acked {
+                assert_eq!(&store.get(id as usize).unwrap(), d, "fail_at {fail_at}");
+            }
+            drop(store);
+
+            let store = LiveStore::open(dir.path(), LiveConfig::default()).unwrap();
+            for &(id, d) in &acked {
+                assert_eq!(
+                    &store.get(id as usize).unwrap(),
+                    d,
+                    "fail_at {fail_at}: acked doc {id} changed identity"
+                );
+            }
+            let recovered = store.num_docs();
+            assert!(
+                recovered == acked.len() || recovered == acked.len() + 1,
+                "fail_at {fail_at}: recovered {recovered}, acked {}",
+                acked.len()
+            );
+            if recovered > acked.len() {
+                assert_eq!(&store.get(failed_id as usize).unwrap(), failed_doc);
+            }
+            // Reopening clears the poison; the next PUT gets a fresh id.
+            let next = store.put(&doc(99)).unwrap();
+            assert_eq!(next as usize, recovered, "fail_at {fail_at}");
+            assert_eq!(store.get(next as usize).unwrap(), doc(99));
+        }
+    }
+
+    #[test]
+    fn replay_rejects_non_increasing_sequence_numbers() {
+        for step_back in [0u64, 1] {
+            let dir = TestDir::new("live-seq-order");
+            let store =
+                LiveStore::create(dir.path(), dict(), PairCoding::ZV, LiveConfig::default())
+                    .unwrap();
+            store.put(&doc(0)).unwrap();
+            store.put(&doc(1)).unwrap();
+            drop(store);
+            // A frame that repeats (or steps behind) the last sequence
+            // number would replay at a position-derived id it never had.
+            let (mut wal, rec) = Wal::open_dir(dir.path(), FsyncPolicy::Always).unwrap();
+            let last = rec.records.last().expect("two frames logged").seq;
+            wal.log_put(last - step_back, &doc(2)).unwrap();
+            drop(wal);
+            match LiveStore::open(dir.path(), LiveConfig::default()) {
+                Err(StoreError::Corrupt { .. }) => {}
+                Err(e) => panic!("step_back {step_back}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("step_back {step_back}: replay accepted a stale seq"),
             }
         }
     }

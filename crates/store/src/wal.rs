@@ -31,6 +31,16 @@
 //! OS (fastest, weakest — crash recovery still keeps the store readable,
 //! it just may not contain recently acked writes).
 //!
+//! **A failed write poisons the log.** Once an append, sync or truncate on
+//! the media fails, the on-disk tail is unknown: a frame whose fsync
+//! failed may still be in the file, and retrying the fsync can report
+//! success for pages the kernel already dropped (the "fsyncgate" lesson).
+//! So the [`Wal`] never retries: every later append, sync and reset
+//! answers [`StoreError::ReadOnly`] until the store is reopened, and
+//! reopening recovers whatever the file really holds. Without this, the
+//! next write would reuse the failed frame's sequence number and replay
+//! would hand an acked document's id to the failed one.
+//!
 //! The byte device is abstracted behind [`WalMedia`] so the fault harness
 //! ([`FaultMedia`](crate::fault::FaultMedia)) can inject crash points and
 //! torn writes deterministically; production uses [`FileMedia`].
@@ -257,6 +267,9 @@ pub struct Wal {
     last_sync: Instant,
     /// Appended frames not yet covered by a sync (Interval/Never policies).
     unsynced: u64,
+    /// A media operation failed; the log refuses further work until it is
+    /// reopened.
+    poisoned: bool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -264,6 +277,7 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("len", &self.media.len())
             .field("policy", &self.policy)
+            .field("poisoned", &self.poisoned)
             .finish()
     }
 }
@@ -300,6 +314,7 @@ impl Wal {
                 policy,
                 last_sync: Instant::now(),
                 unsynced: 0,
+                poisoned: false,
             },
             recovery,
         ))
@@ -321,28 +336,43 @@ impl Wal {
     /// the frame is on stable storage as the call returns (the "durable
     /// ack" bit surfaced to callers).
     fn append(&mut self, seq: u64, op: u8, parts: &[&[u8]]) -> Result<bool, StoreError> {
+        self.check_writable()?;
         let frame = encode_frame(seq, op, parts);
-        self.media.append(&frame)?;
+        let appended = self.media.append(&frame);
+        self.poison_on_err(appended)?;
         self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::Always => {
-                self.media.sync()?;
-                self.unsynced = 0;
-                self.last_sync = Instant::now();
-                Ok(true)
-            }
-            FsyncPolicy::Interval(every) => {
-                if self.last_sync.elapsed() >= every {
-                    self.media.sync()?;
-                    self.unsynced = 0;
-                    self.last_sync = Instant::now();
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-            FsyncPolicy::Never => Ok(false),
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Interval(every) => self.last_sync.elapsed() >= every,
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync_media()?;
         }
+        Ok(due)
+    }
+
+    /// Fails with [`StoreError::ReadOnly`] once the log is poisoned.
+    fn check_writable(&self) -> Result<(), StoreError> {
+        if self.poisoned {
+            return Err(StoreError::ReadOnly);
+        }
+        Ok(())
+    }
+
+    /// Passes `result` through, poisoning the log if it is an error.
+    fn poison_on_err(&mut self, result: io::Result<()>) -> Result<(), StoreError> {
+        self.poisoned |= result.is_err();
+        result.map_err(StoreError::Io)
+    }
+
+    /// Syncs the media; a failure poisons the log and is never retried.
+    fn sync_media(&mut self) -> Result<(), StoreError> {
+        let synced = self.media.sync();
+        self.poison_on_err(synced)?;
+        self.unsynced = 0;
+        self.last_sync = Instant::now();
+        Ok(())
     }
 
     /// Logs a PUT. Returns `true` when durable on return.
@@ -362,12 +392,18 @@ impl Wal {
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.check_writable()?;
         if self.unsynced > 0 {
-            self.media.sync()?;
-            self.unsynced = 0;
-            self.last_sync = Instant::now();
+            self.sync_media()?;
         }
         Ok(())
+    }
+
+    /// True once a media failure has poisoned the log: every append, sync
+    /// and reset answers [`StoreError::ReadOnly`] until the store is
+    /// reopened.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned
     }
 
     /// Current log length in bytes (the write backlog the shed bound acts
@@ -392,10 +428,10 @@ impl Wal {
     /// covering them. Synced, so a crash right after cannot resurrect
     /// already-sealed frames.
     pub fn reset(&mut self) -> Result<(), StoreError> {
-        self.media.truncate(0)?;
-        self.media.sync()?;
-        self.unsynced = 0;
-        Ok(())
+        self.check_writable()?;
+        let truncated = self.media.truncate(0);
+        self.poison_on_err(truncated)?;
+        self.sync_media()
     }
 }
 
@@ -506,6 +542,34 @@ mod tests {
         let (_, rec) = reopen(&dir);
         assert_eq!(rec.records.len(), 1);
         assert_eq!(rec.records[0].seq, 2);
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_log_until_reopen() {
+        let dir = TestDir::new("wal-poison");
+        let plan = crate::FaultPlan {
+            fail_sync_at: Some(1),
+            ..crate::FaultPlan::default()
+        };
+        let media = FileMedia::open(&dir.path().join(WAL_FILE)).unwrap();
+        let media = Box::new(crate::FaultMedia::new(Box::new(media), &plan));
+        let (mut wal, _) = Wal::open(media, FsyncPolicy::Always, &[]).unwrap();
+        wal.log_put(1, b"acked").unwrap();
+        assert!(matches!(wal.log_put(2, b"failed"), Err(StoreError::Io(_))));
+        assert!(wal.is_poisoned());
+        // No retry: the sync that failed is never reported as success.
+        assert!(matches!(
+            wal.log_put(3, b"later"),
+            Err(StoreError::ReadOnly)
+        ));
+        assert!(matches!(wal.sync(), Err(StoreError::ReadOnly)));
+        assert!(matches!(wal.reset(), Err(StoreError::ReadOnly)));
+        drop(wal);
+        // Reopening recovers what the file holds: the failed frame stayed.
+        let (wal, rec) = reopen(&dir);
+        assert!(!wal.is_poisoned());
+        let seqs: Vec<u64> = rec.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [1, 2]);
     }
 
     #[test]
